@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from . import matching, metrics, powerctl, simengine
 from .core import InvalidParameterError, TimingConfig
 from .powerctl import ArrivalModel, ChannelModel, QueueState
-from .simengine import ScenarioSpec, SimResult
+from .simengine import Scenario, ScenarioSpec, SimResult
 
 SCHEMA_VERSION = 1
 
@@ -244,14 +244,16 @@ def _spec_from_raw(raw: dict[str, object]) -> tuple[ScenarioSpec, list[str]]:
     return spec, provenance
 
 
-def _validate_spec(spec: ScenarioSpec) -> None:
+def _validate_spec(spec: ScenarioSpec) -> Scenario:
     if not 0.0 <= spec.init_min_frac <= spec.init_max_frac <= 1.0:
         raise InvalidParameterError("init fractions must satisfy 0 <= min <= max <= 1")
     if spec.tower_count < 0 or spec.charger_count < 0 or spec.mbs_count < 0:
         raise InvalidParameterError("entity counts must be >= 0")
     if spec.map_width_m <= 0 or spec.map_height_m <= 0 or spec.altitude_m < 0:
         raise InvalidParameterError("map dimensions must be positive")
-    spec.build().validate()
+    scenario = spec.build()
+    scenario.validate()
+    return scenario
 
 
 def emit_scenario(spec: ScenarioSpec) -> str:
@@ -443,23 +445,25 @@ def _apply_overrides(spec: ScenarioSpec, cfg: RunConfig) -> ScenarioSpec:
     return spec
 
 
-def _load_spec(cfg: RunConfig) -> tuple[ScenarioSpec, list[str]]:
+def _load_spec(cfg: RunConfig) -> tuple[ScenarioSpec, list[str], Scenario]:
+    """The run's spec with overrides applied, its provenance notes, and the
+    validated scenario built from it (the engine copies its entities)."""
     if cfg.scenario_path:
         spec, provenance = load_scenario(cfg.scenario_path)
     else:
         spec, provenance = ScenarioSpec(), []
     spec = _apply_overrides(spec, cfg)
-    _validate_spec(spec)
-    return spec, provenance
+    return spec, provenance, _validate_spec(spec)
 
 
 # ---------------------------------------------------------------------------
 # Commands.
 
 def cmd_simulate(cfg: RunConfig) -> int:
-    spec, provenance = _load_spec(cfg)
+    spec, provenance, scenario = _load_spec(cfg)
     _prepare_out_dir(cfg.out_dir)
-    result = simengine.run(spec.build())
+    result = simengine.run(scenario)
+    del scenario  # drop the roster before artifact writing, where the heap peaks
     files = [
         _write_table(os.path.join(cfg.out_dir, "snapshots"), cfg.fmt, spec, SNAPSHOT_COLUMNS, _snapshot_rows(result)),
         _write_table(
@@ -487,9 +491,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_match(cfg: RunConfig, stage: int) -> int:
-    spec, provenance = _load_spec(cfg)
+    spec, provenance, scenario = _load_spec(cfg)
     _prepare_out_dir(cfg.out_dir)
-    scenario = spec.build()
     with open(os.path.join(cfg.out_dir, "instance.txt"), "w", encoding="utf-8") as fh:
         fh.write(_artifact_header(spec) + "\n")
         fh.write(matching.dump_instance(scenario.towers, scenario.chargers, scenario.mbs_drones, scenario.timing))
@@ -514,9 +517,8 @@ def cmd_match(cfg: RunConfig, stage: int) -> int:
 
 
 def cmd_power_control(cfg: RunConfig) -> int:
-    spec, provenance = _load_spec(cfg)
+    spec, provenance, scenario = _load_spec(cfg)
     _prepare_out_dir(cfg.out_dir)
-    scenario = spec.build()
     dpp = scenario.dpp
     policy = scenario.power_policy
     rng = random.Random(f"{spec.seed}/arrivals/standalone")
@@ -560,7 +562,7 @@ def _parse_counts(text: str) -> list[int]:
 
 
 def cmd_sweep(cfg: RunConfig, counts: list[int]) -> int:
-    spec, provenance = _load_spec(cfg)
+    spec, provenance, _ = _load_spec(cfg)
     _prepare_out_dir(cfg.out_dir)
     rows = []
     for count, cov in simengine.sweep_mbs_count(spec, counts):

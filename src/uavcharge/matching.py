@@ -182,44 +182,59 @@ def hessian_eigenvalues(eta_c: float, eta_m: float) -> tuple[tuple[float, float]
     )
 
 
-def _pair_weights(
+def pair_value_matrix(
     chargers: list[ChargerDrone],
     mbs_list: list[MbsDrone],
-    timing: TimingConfig,
-    eps: float,
+    mbs_phase_s: float,
+    eps: float = VALUE_EPS_J,
 ) -> np.ndarray:
-    w = np.zeros((len(chargers), len(mbs_list)))
-    for j, charger in enumerate(chargers):
-        for i, mbs in enumerate(mbs_list):
-            w[j, i] = pair_value(charger, mbs, timing.mbs_phase_s, 0.0, eps).value
-    return w
+    """Zero-transfer ``pair_value`` of every charger (row) and MBS drone (column).
+
+    Follows ``pair_value``'s operation order, squaring with ``float_power``
+    (libm ``pow``, like Python's ``**``; ``dx*dx`` can differ in the last
+    bit), so every entry is bit-equal to the scalar score.  Works in two
+    in-place n_chargers x n_mbs buffers.
+    """
+    if eps <= 0.0:
+        raise InvalidParameterError(f"eps must be > 0, got {eps}")
+    c = np.array([(ch.position.x, ch.position.y, ch.position.z, ch.speed, ch.move_power, ch.residual, ch.efficiency)
+                  for ch in chargers], dtype=float).reshape(-1, 7)
+    m = np.array([(mb.position.x, mb.position.y, mb.position.z, max(mb.residual, eps), mb.efficiency)
+                  for mb in mbs_list], dtype=float).reshape(-1, 5)
+    cx, cy, cz, speed, move_power, residual, eta_c = c.T[:, :, None]
+    mx, my, mz, mbs_residual, eta_m = m.T
+    a = np.empty((len(chargers), len(mbs_list)))
+    b = np.empty_like(a)
+    np.float_power(np.subtract(cx, mx, out=a), 2.0, out=a)
+    a += np.float_power(np.subtract(cy, my, out=b), 2.0, out=b)
+    a += np.float_power(np.subtract(cz, mz, out=b), 2.0, out=b)
+    np.sqrt(a, out=a)
+    a /= speed  # travel time
+    np.maximum(np.subtract(residual, np.multiply(move_power, a, out=b), out=b), 0.0, out=b)  # reachable
+    np.maximum(np.subtract(mbs_phase_s, a, out=a), 0.0, out=a)  # window
+    a *= eta_c
+    a *= eta_m
+    a *= np.divide(b, mbs_residual, out=b)  # need ratio
+    a *= residual
+    return np.maximum(a, 0.0, out=a)
 
 
 def _max_weight_matching(weights: np.ndarray, mbs_plates: list[int]) -> list[tuple[int, int]]:
     """Exact max-weight matching: chargers x MBS, per-MBS plate capacities.
 
-    Reduced to a rectangular assignment problem by splitting each MBS
-    drone into one column per plate and padding with one zero-weight dummy
-    column per charger so any drone may stay unmatched.  Zero-weight pairs
-    are excluded (marked below the dummy level).  Returns (charger index,
-    mbs index) pairs.
+    Each MBS drone becomes one column per plate (no copy when every drone
+    has one), and ``linear_sum_assignment`` solves the rectangular problem
+    as is (Crouse 2016), matching min(rows, columns) pairs.  Every weight
+    is >= 0, so dropping the zero-weight pairs leaves a maximum-weight
+    matching.  Returns (charger index, mbs index) pairs in charger order.
     """
-    n_chargers, n_mbs = weights.shape
-    if n_chargers == 0 or n_mbs == 0:
+    if weights.size == 0:
         return []
-    col_owner: list[int] = []
-    for i in range(n_mbs):
-        col_owner.extend([i] * mbs_plates[i])
-    n_real = len(col_owner)
-    matrix = np.full((n_chargers, n_real + n_chargers), 0.0)
-    for col, i in enumerate(col_owner):
-        matrix[:, col] = np.where(weights[:, i] > 0.0, weights[:, i], -1.0)
+    owner = np.repeat(np.arange(len(mbs_plates)), mbs_plates)
+    matrix = weights if len(owner) == len(mbs_plates) else weights[:, owner]
     rows, cols = linear_sum_assignment(matrix, maximize=True)
-    pairs = []
-    for j, col in zip(rows, cols):
-        if col < n_real and matrix[j, col] > 0.0:
-            pairs.append((j, col_owner[col]))
-    return pairs
+    keep = matrix[rows, cols] > 0.0
+    return list(zip(rows[keep].tolist(), owner[cols[keep]].tolist()))
 
 
 def stage2_match(
@@ -244,15 +259,15 @@ def stage2_match(
     if mode not in ("literal", "allocate"):
         raise InvalidParameterError(f"unknown stage-2 mode {mode!r}")
     live = [m for m in mbs_list if not m.dropped]
-    weights = _pair_weights(chargers, live, timing, eps)
+    weights = pair_value_matrix(chargers, live, timing.mbs_phase_s, eps)
     pairs_idx = _max_weight_matching(weights, [m.plates for m in live])
-    matched_value = float(sum(weights[j, i] for j, i in pairs_idx))
-    matching = [(live[i].id, chargers[j].id) for j, i in pairs_idx]
+    scores = [weights[j, i] for j, i in pairs_idx]
+    matched_value = float(sum(scores))
     if mode == "literal":
-        pairs = [(mbs_id, charger_id, 0.0) for mbs_id, charger_id in matching]
+        pairs = [(live[i].id, chargers[j].id, 0.0) for j, i in pairs_idx]
         objective = float(weights.sum())
     else:
-        pairs = allocate_transfers(matching, chargers, live, timing, eps)
+        pairs = _fill_transfers(pairs_idx, scores, chargers, live, timing)
         objective = matched_value
     return Stage2Assignment(pairs=pairs, objective=objective, matched_value=matched_value, mode=mode)
 
@@ -264,37 +279,86 @@ def allocate_transfers(
     timing: TimingConfig,
     eps: float = VALUE_EPS_J,
 ) -> list[tuple[str, str, float]]:
-    """Assign transfer energies to a feasible matching.
+    """Assign transfer energies to a feasible (mbs_id, charger_id) matching.
 
     Per MBS drone, matched chargers are processed in descending pair-score
-    order; each sends the most it can subject to three caps: energy left
-    after the approach flight, the drone's remaining deficit (divided by
-    the pair's transfer efficiency), and the battery's maximum charging
-    power over the post-travel window.
+    order (ties by charger id); each sends the most it can subject to three
+    caps: energy left after the approach flight, the drone's remaining
+    deficit (divided by the pair's transfer efficiency), and the battery's
+    maximum charging power over the post-travel window.  Scores are the
+    scalar ``pair_value`` of the matched pairs; the solvers apply the same
+    rule with the scores of the pair-value matrix they already hold.
     """
+    charger_idx = {c.id: j for j, c in enumerate(chargers)}
+    mbs_idx = {m.id: i for i, m in enumerate(mbs_list)}
+    pairs_idx = [(charger_idx[charger_id], mbs_idx[mbs_id]) for mbs_id, charger_id in matching]
+    scores = [pair_value(chargers[j], mbs_list[i], timing.mbs_phase_s, 0.0, eps).value for j, i in pairs_idx]
+    return _fill_transfers(pairs_idx, scores, chargers, mbs_list, timing)
+
+
+def _fill_transfers(
+    pairs_idx: list[tuple[int, int]],
+    scores: list[float],
+    chargers: list[ChargerDrone],
+    mbs_list: list[MbsDrone],
+    timing: TimingConfig,
+) -> list[tuple[str, str, float]]:
+    """``allocate_transfers`` on (charger index, mbs index) pairs whose pair
+    scores are already known."""
+    transfers = [0.0] * len(pairs_idx)
+    remaining: dict[int, float] = {}
+    for k in sorted(range(len(scores)), key=lambda k: (-scores[k], chargers[pairs_idx[k][0]].id)):
+        j, i = pairs_idx[k]
+        charger, mbs = chargers[j], mbs_list[i]
+        d = distance(charger.position, mbs.position)
+        window = max(timing.mbs_phase_s - travel_time(d, charger.speed), 0.0)
+        budget = charger.residual - travel_energy(d, charger.speed, charger.move_power)
+        eta = charger.efficiency * mbs.efficiency
+        deficit = remaining.get(i, mbs.deficit)
+        transfers[k] = max(min(budget, deficit / eta, mbs.charge_power_max * window), 0.0)
+        remaining[i] = max(deficit - transfers[k] * eta, 0.0)
+    return [(mbs_list[i].id, chargers[j].id, t) for (j, i), t in zip(pairs_idx, transfers)]
+
+
+def check_stage2(
+    pairs: list[tuple[str, str, float]],
+    chargers: list[ChargerDrone],
+    mbs_list: list[MbsDrone],
+) -> list[str]:
+    """Stage-2 feasibility of (mbs_id, charger_id, transfer_j) pairs: one
+    message per violated constraint, empty when feasible.
+
+    Checks plates per MBS drone, one MBS drone per charger, transfers >= 0,
+    delivered energy (transfer times both efficiencies) within each
+    drone's deficit, and energy sent within each charger's residual, the
+    energy sums with a 1e-9 J slack.  Each check is written so that a NaN
+    fails it.
+    """
+    slack = 1e-9
     charger_by_id = {c.id: c for c in chargers}
     mbs_by_id = {m.id: m for m in mbs_list}
-    per_mbs: dict[str, list[str]] = {}
-    for mbs_id, charger_id in matching:
-        per_mbs.setdefault(mbs_id, []).append(charger_id)
-    transfer_by_pair: dict[tuple[str, str], float] = {}
-    for mbs_id, charger_ids in per_mbs.items():
+    per_mbs: dict[str, list] = {}  # mbs_id -> [chargers, joules delivered]
+    per_charger: dict[str, list] = {}  # charger_id -> [MBS drones, joules sent]
+    violations = []
+    for mbs_id, charger_id, transfer in pairs:
+        if not transfer >= 0.0:
+            violations.append(f"{mbs_id}/{charger_id}: transfer {transfer} J is not >= 0")
+        eta = charger_by_id[charger_id].efficiency * mbs_by_id[mbs_id].efficiency
+        load = per_mbs.setdefault(mbs_id, [0, 0.0])
+        load[0] += 1
+        load[1] += transfer * eta
+        load = per_charger.setdefault(charger_id, [0, 0.0])
+        load[0] += 1
+        load[1] += transfer
+    for mbs_id, (count, delivered) in per_mbs.items():
         mbs = mbs_by_id[mbs_id]
-        scored = sorted(
-            charger_ids,
-            key=lambda cid: (-pair_value(charger_by_id[cid], mbs, timing.mbs_phase_s, 0.0, eps).value, cid),
-        )
-        remaining_deficit = mbs.deficit
-        for cid in scored:
-            charger = charger_by_id[cid]
-            d = distance(charger.position, mbs.position)
-            window = max(timing.mbs_phase_s - travel_time(d, charger.speed), 0.0)
-            budget = charger.residual - travel_energy(d, charger.speed, charger.move_power)
-            eta = charger.efficiency * mbs.efficiency
-            transfer = max(min(budget, remaining_deficit / eta, mbs.charge_power_max * window), 0.0)
-            remaining_deficit = max(remaining_deficit - transfer * eta, 0.0)
-            transfer_by_pair[(mbs_id, cid)] = transfer
-    return [(mbs_id, cid, transfer_by_pair[(mbs_id, cid)]) for mbs_id, cid in matching]
+        if not (count <= mbs.plates and delivered <= mbs.deficit + slack):
+            violations.append(f"{mbs_id}: {count} chargers on {mbs.plates} plates, {delivered} J for {mbs.deficit} J")
+    for charger_id, (count, sent) in per_charger.items():
+        charger = charger_by_id[charger_id]
+        if not (count == 1 and sent <= charger.residual + slack):
+            violations.append(f"{charger_id}: {count} MBS drones, {sent} J sent of {charger.residual} J")
+    return violations
 
 
 def stage2_brute_force(
@@ -309,14 +373,17 @@ def stage2_brute_force(
     Enumerates every match-index combination satisfying the plate and
     uniqueness constraints, scores each by the mode's objective (with the
     matched pair-score total as tiebreak), and applies the mode's transfer
-    rule to the winner.
+    rule to the winner.  Pairs are scored by the scalar ``pair_value``,
+    independently of ``pair_value_matrix``.
     """
     if len(chargers) > 5 or len(mbs_list) > 4:
         raise InstanceTooLargeError("stage-2 oracle bound: <= 5 chargers and <= 4 MBS drones")
     if mode not in ("literal", "allocate"):
         raise InvalidParameterError(f"unknown stage-2 mode {mode!r}")
     live = [m for m in mbs_list if not m.dropped]
-    weights = _pair_weights(chargers, live, timing, eps)
+    weights = np.array(
+        [[pair_value(c, m, timing.mbs_phase_s, 0.0, eps).value for m in live] for c in chargers], dtype=float
+    ).reshape(len(chargers), len(live))
     total_value = float(weights.sum())
     choices = [[None] + [i for i in range(len(live)) if weights[j, i] > 0.0] for j in range(len(chargers))]
     best_weight = -1.0
@@ -418,7 +485,7 @@ def _baseline_stage2(
     eps: float,
 ) -> Stage2Assignment:
     live = [m for m in mbs_list if not m.dropped]
-    weights = _pair_weights(chargers, live, timing, eps)
+    weights = pair_value_matrix(chargers, live, timing.mbs_phase_s, eps)
     matching_idx: list[tuple[int, int]] = []
     if strategy == "random":
         charger_order = list(range(len(chargers)))
@@ -445,9 +512,9 @@ def _baseline_stage2(
                 j = max(reachable, key=lambda j: (chargers[j].residual, -j))
                 available.discard(j)
                 matching_idx.append((j, i))
-    matched_value = float(sum(weights[j, i] for j, i in matching_idx))
-    matching = [(live[i].id, chargers[j].id) for j, i in matching_idx]
-    pairs = allocate_transfers(matching, chargers, live, timing, eps)
+    scores = [weights[j, i] for j, i in matching_idx]
+    matched_value = float(sum(scores))
+    pairs = _fill_transfers(matching_idx, scores, chargers, live, timing)
     return Stage2Assignment(pairs=pairs, objective=matched_value, matched_value=matched_value, mode="allocate")
 
 

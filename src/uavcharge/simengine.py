@@ -204,14 +204,17 @@ def step_unit_time(state: SimState) -> SimState:
     scenario = state.scenario
     timing = scenario.timing
     unit = state.unit + 1
+    towers = {t.id: t for t in state.towers}
+    chargers = {c.id: c for c in state.chargers}
+    mbs_drones = {m.id: m for m in state.mbs_drones}
     charger_flows = {c.id: ChargerFlows() for c in state.chargers}
     mbs_flows = {m.id: MbsFlows() for m in state.mbs_drones}
 
     # Phase 1: towers charge matched charging drones, who fly over first.
     stage1 = _dispatch_stage1(state)
     for tower_id, charger_id in stage1.pairs:
-        tower = _by_id(state.towers, tower_id)
-        charger = _by_id(state.chargers, charger_id)
+        tower = towers[tower_id]
+        charger = chargers[charger_id]
         amount = tower_charge_amount(
             tower.charge_power, tower.efficiency, charger.efficiency,
             timing.tower_phase_s, distance(tower.position, charger.position), charger.speed,
@@ -224,8 +227,8 @@ def step_unit_time(state: SimState) -> SimState:
     # Phase 2: charging drones ferry energy to matched MBS drones.
     stage2 = _dispatch_stage2(state)
     for mbs_id, charger_id, transfer in stage2.pairs:
-        charger = _by_id(state.chargers, charger_id)
-        mbs = _by_id(state.mbs_drones, mbs_id)
+        charger = chargers[charger_id]
+        mbs = mbs_drones[mbs_id]
         travel = travel_energy(distance(charger.position, mbs.position), charger.speed, charger.move_power)
         charger.residual -= travel + transfer
         if charger.residual < 0.0:
@@ -326,13 +329,6 @@ def _run_slots(state: SimState, mbs: MbsDrone, unit: int) -> float:
     return tx_total
 
 
-def _by_id(entities, entity_id: str):
-    for e in entities:
-        if e.id == entity_id:
-            return e
-    raise KeyError(entity_id)
-
-
 def _check_bounds(state: SimState) -> None:
     for c in state.chargers:
         if not -1e-9 <= c.residual <= c.capacity + 1e-9:
@@ -342,11 +338,6 @@ def _check_bounds(state: SimState) -> None:
             continue
         if not 0.0 <= m.residual <= m.capacity + 1e-9:
             raise AssertionError(f"mbs {m.id} residual {m.residual} outside [0, {m.capacity}]")
-
-
-def coverage_time(result: SimResult) -> int | None:
-    """First unit time at which any MBS drone dropped; None if all survived."""
-    return result.coverage_time
 
 
 def sweep_mbs_count(spec: "ScenarioSpec", counts: list[int]) -> list[tuple[int, int | None]]:

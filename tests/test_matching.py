@@ -1,5 +1,7 @@
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from uavcharge.core import ChargerDrone, MbsDrone, Position, TimingConfig, Tower
@@ -8,9 +10,11 @@ from uavcharge.matching import (
     InstanceTooLargeError,
     allocate_transfers,
     baseline_match,
+    check_stage2,
     dump_instance,
     hessian_eigenvalues,
     pair_value,
+    pair_value_matrix,
     parse_instance,
     random_stage1_instance,
     random_stage2_instance,
@@ -19,6 +23,7 @@ from uavcharge.matching import (
     stage2_brute_force,
     stage2_match,
 )
+from uavcharge.simengine import default_spec
 
 TIMING = TimingConfig()
 
@@ -275,35 +280,131 @@ def test_stage2_oracle_equivalence_small_suite():
             slow = stage2_brute_force(chargers, mbs_list, timing, mode=mode)
             assert fast.objective == pytest.approx(slow.objective, rel=1e-9, abs=1e-9)
             assert fast.matched_value == pytest.approx(slow.matched_value, rel=1e-9, abs=1e-9)
-            assert_stage2_constraints(fast, chargers, mbs_list, timing)
+            assert check_stage2(fast.pairs, chargers, mbs_list) == []
 
 
-def assert_stage2_constraints(assignment, chargers, mbs_list, timing, slack=1e-9):
-    """Every program constraint, checked exactly on the returned pairs."""
-    charger_by_id = {c.id: c for c in chargers}
-    mbs_by_id = {m.id: m for m in mbs_list}
-    per_mbs_count: dict[str, int] = {}
-    per_mbs_delivered: dict[str, float] = {}
-    per_charger_sent: dict[str, float] = {}
-    per_charger_count: dict[str, int] = {}
-    for mbs_id, charger_id, transfer in assignment.pairs:
-        assert transfer >= 0.0
-        mbs = mbs_by_id[mbs_id]
-        charger = charger_by_id[charger_id]
-        per_mbs_count[mbs_id] = per_mbs_count.get(mbs_id, 0) + 1
-        per_charger_count[charger_id] = per_charger_count.get(charger_id, 0) + 1
-        per_mbs_delivered[mbs_id] = (
-            per_mbs_delivered.get(mbs_id, 0.0) + transfer * charger.efficiency * mbs.efficiency
+# --------------------------------------------------- pair-value matrix
+
+def scalar_pair_values(chargers, mbs_list, mbs_phase_s, eps=1.0):
+    values = [[pair_value(c, m, mbs_phase_s, 0.0, eps).value for m in mbs_list] for c in chargers]
+    return np.array(values, dtype=float).reshape(len(chargers), len(mbs_list))
+
+
+def edge_case_instance(rng, n_chargers, n_mbs, reach=3000.0):
+    """Empty and full chargers, MBS drones under the eps floor, out-of-range
+    placements, and multi-plate MBS drones, mixed with ordinary ones."""
+    chargers = [
+        make_charger(
+            f"C{j}", x=rng.uniform(-reach, reach), y=rng.uniform(-reach, reach), capacity=4e5,
+            residual=rng.choice([0.0, 4e5, rng.uniform(0, 4e5), rng.uniform(0, 2e3)]),
+            speed=rng.uniform(5, 25), efficiency=rng.uniform(0.5, 1.0), move_power=rng.uniform(0, 400),
         )
-        per_charger_sent[charger_id] = per_charger_sent.get(charger_id, 0.0) + transfer
-    for mbs_id, count in per_mbs_count.items():
-        assert count <= mbs_by_id[mbs_id].plates
-    for charger_id, count in per_charger_count.items():
-        assert count == 1
-    for mbs_id, delivered in per_mbs_delivered.items():
-        assert delivered <= mbs_by_id[mbs_id].deficit + slack
-    for charger_id, sent in per_charger_sent.items():
-        assert sent <= charger_by_id[charger_id].residual + slack
+        for j in range(n_chargers)
+    ]
+    mbs_list = [
+        make_mbs(
+            f"M{i}", x=rng.uniform(-1000, 1000), y=rng.uniform(-700, 700), capacity=4e5,
+            residual=rng.choice([0.0, 0.4, 0.999, rng.uniform(0, 4e5)]),
+            efficiency=rng.uniform(0.5, 1.0), plates=rng.randint(1, 3),
+        )
+        for i in range(n_mbs)
+    ]
+    return chargers, mbs_list
+
+
+def test_pair_value_matrix_bit_equal_on_edge_cases():
+    rng = random.Random("matrix-edges")
+    kinds = set()
+    for _ in range(60):
+        chargers, mbs_list = edge_case_instance(rng, rng.randint(0, 12), rng.randint(0, 9))
+        eps = rng.choice([1.0, 0.25, 5.0])
+        got = pair_value_matrix(chargers, mbs_list, TIMING.mbs_phase_s, eps)
+        want = scalar_pair_values(chargers, mbs_list, TIMING.mbs_phase_s, eps)
+        assert got.shape == (len(chargers), len(mbs_list))
+        assert np.array_equal(got, want)
+        kinds.update(("zero" if v == 0.0 else "positive") for v in want.flat)
+        kinds.update("floored" for m in mbs_list if m.residual < eps)
+        kinds.update("empty" for c in chargers if c.residual == 0.0)
+    assert kinds == {"zero", "positive", "floored", "empty"}
+
+
+def test_pair_value_matrix_bit_equal_on_random_oracle_instances():
+    rng = random.Random("matrix-oracle")
+    for _ in range(100):
+        chargers, mbs_list, timing = random_stage2_instance(rng, max_chargers=10, max_mbs=8, max_plates=3)
+        got = pair_value_matrix(chargers, mbs_list, timing.mbs_phase_s)
+        assert np.array_equal(got, scalar_pair_values(chargers, mbs_list, timing.mbs_phase_s))
+
+
+def test_pair_value_matrix_bit_equal_on_scale_roster():
+    scenario = replace(default_spec(seed=1), charger_count=800, mbs_count=400).build()
+    got = pair_value_matrix(scenario.chargers, scenario.mbs_drones, scenario.timing.mbs_phase_s)
+    want = scalar_pair_values(scenario.chargers, scenario.mbs_drones, scenario.timing.mbs_phase_s)
+    assert got.shape == (800, 400)
+    assert np.array_equal(got, want)
+
+
+def test_pair_value_matrix_squares_like_python_pow():
+    # Python's ``dx ** 2`` is libm pow; with glibc it differs from ``dx * dx``
+    # in the last bit for this pair, and so does the final score.
+    charger = make_charger(x=-229.35877783932688, y=72.67676310606106, capacity=4e5, residual=3e5)
+    mbs = make_mbs(x=300.0, y=300.0, capacity=4e5, residual=1e5)
+    got = pair_value_matrix([charger], [mbs], TIMING.mbs_phase_s)
+    assert got[0, 0] > 0.0
+    assert got[0, 0] == pair_value(charger, mbs, TIMING.mbs_phase_s).value
+
+
+def test_pair_value_matrix_rejects_bad_eps():
+    with pytest.raises(InvalidParameterError):
+        pair_value_matrix([make_charger()], [make_mbs()], TIMING.mbs_phase_s, eps=0.0)
+
+
+def test_stage2_matches_networkx_on_large_instances():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random("networkx")
+    shared_plates = 0
+    for _ in range(6):
+        chargers, mbs_list = edge_case_instance(rng, 30, 15, reach=1000.0)
+        weights = scalar_pair_values(chargers, mbs_list, TIMING.mbs_phase_s)
+        graph = nx.Graph()
+        for i, mbs in enumerate(mbs_list):
+            for plate in range(mbs.plates):
+                for j in range(len(chargers)):
+                    if weights[j, i] > 0.0:
+                        graph.add_edge(("charger", j), ("plate", i, plate), weight=weights[j, i])
+        expected = sum(graph.edges[e]["weight"] for e in nx.max_weight_matching(graph))
+        charger_idx = {c.id: j for j, c in enumerate(chargers)}
+        mbs_idx = {m.id: i for i, m in enumerate(mbs_list)}
+        for mode in ("allocate", "literal"):
+            got = stage2_match(chargers, mbs_list, TIMING, mode=mode)
+            assert got.matched_value == pytest.approx(expected, rel=1e-9)
+            assert check_stage2(got.pairs, chargers, mbs_list) == []
+            assert all(weights[charger_idx[c], mbs_idx[m]] > 0.0 for m, c, _ in got.pairs)
+        shared_plates += sum(sum(p[0] == m.id for p in got.pairs) > 1 for m in mbs_list)
+    assert shared_plates > 0
+
+
+def test_check_stage2_reports_each_violation():
+    chargers = [make_charger("C0", capacity=1e4, residual=100.0), make_charger("C1", capacity=1e4, residual=5e3)]
+    mbs_list = [make_mbs("M0", capacity=1e4, residual=9e3, plates=1), make_mbs("M1", capacity=1e4, residual=0.0)]
+    assert check_stage2([("M1", "C0", 50.0)], chargers, mbs_list) == []
+    violations = check_stage2(
+        [("M0", "C0", -1.0), ("M0", "C1", 4e3), ("M1", "C1", 2e3)], chargers, mbs_list
+    )
+    text = "\n".join(violations)
+    assert "M0/C0: transfer -1.0 J is not >= 0" in text
+    assert "M0: 2 chargers on 1 plates" in text
+    assert "C1: 2 MBS drones, 6000.0 J sent of 5000.0 J" in text
+    assert len(violations) == 3
+    assert check_stage2([("M1", "C1", 4e3)], chargers, mbs_list) == []
+    over = check_stage2([("M0", "C1", 4e3)], chargers, mbs_list)
+    assert over == [f"M0: 1 chargers on 1 plates, {4e3 * (0.81 * 0.81)} J for 1000.0 J"]
+    # A NaN transfer fails the sign check and both energy sums.
+    assert check_stage2([("M1", "C0", float("nan"))], chargers, mbs_list) == [
+        "M1/C0: transfer nan J is not >= 0",
+        "M1: 1 chargers on 1 plates, nan J for 10000.0 J",
+        "C0: 1 MBS drones, nan J sent of 100.0 J",
+    ]
 
 
 # ----------------------------------------------------------- transfer filling
@@ -391,7 +492,7 @@ def test_stage2_baselines_feasible_and_dominated():
                 rng=random.Random(2),
             )
             assert got.matched_value <= optimum + 1e-9 * max(optimum, 1.0)
-            assert_stage2_constraints(got, chargers, mbs_list, timing)
+            assert check_stage2(got.pairs, chargers, mbs_list) == []
 
 
 def test_stage2_greedy_order():
