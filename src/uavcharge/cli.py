@@ -11,17 +11,18 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import json
 import os
 import random
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 from . import matching, metrics, powerctl, simengine
 from .core import InvalidParameterError, TimingConfig
-from .powerctl import ArrivalModel, ChannelModel, QueueState
-from .simengine import Scenario, ScenarioSpec, SimResult
+from .powerctl import ArrivalModel, ChannelModel
+from .simengine import QueueTrace, Scenario, ScenarioSpec, SimResult
 
 SCHEMA_VERSION = 1
 
@@ -319,26 +320,24 @@ def _artifact_header(spec: ScenarioSpec) -> str:
     return f"# uavcharge schema={SCHEMA_VERSION} seed={spec.seed} config={config_hash(spec)}"
 
 
-def _write_table(path: str, fmt: str, spec: ScenarioSpec, columns: list[str], rows: list[list]) -> str:
-    if fmt == "csv":
-        out = io.StringIO()
-        out.write(_artifact_header(spec) + "\n")
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(rows)
-        payload, ext = out.getvalue(), "csv"
-    else:
-        body = {
-            "schema_version": SCHEMA_VERSION,
-            "seed": spec.seed,
-            "config_hash": config_hash(spec),
-            "columns": columns,
-            "rows": rows,
-        }
-        payload, ext = json.dumps(body, sort_keys=True, indent=1) + "\n", "json"
-    full = f"{path}.{ext}"
+def _write_table(path: str, fmt: str, spec: ScenarioSpec, columns: list[str], rows: Iterable) -> str:
+    """Write one artifact table; CSV rows stream to the file as ``rows`` yields them."""
+    full = f"{path}.{fmt}"
     with open(full, "w", encoding="utf-8") as fh:
-        fh.write(payload)
+        if fmt == "csv":
+            fh.write(_artifact_header(spec) + "\n")
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows(rows)
+        else:
+            body = {
+                "schema_version": SCHEMA_VERSION,
+                "seed": spec.seed,
+                "config_hash": config_hash(spec),
+                "columns": columns,
+                "rows": list(rows),
+            }
+            fh.write(json.dumps(body, sort_keys=True, indent=1) + "\n")
     return os.path.basename(full)
 
 
@@ -355,8 +354,7 @@ def _write_manifest(out_dir: str, spec: ScenarioSpec, provenance: list[str], ext
         fh.write(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
 
 
-def _snapshot_rows(result: SimResult) -> list[list]:
-    rows: list[list] = []
+def _snapshot_rows(result: SimResult) -> Iterator[list]:
     for snap in result.snapshots:
         for role, energy, in (("charger", snap.charger_energy), ("mbs", snap.mbs_energy)):
             for entity_id, (residual, capacity) in energy.items():
@@ -368,10 +366,7 @@ def _snapshot_rows(result: SimResult) -> list[list]:
                     mflows = snap.mbs_flows[entity_id]
                     extras = [0.0, 0.0, 0.0, mflows.received, mflows.hover_drain, mflows.tx_drain]
                     dropped = entity_id in result.dropped_at and result.dropped_at[entity_id] <= snap.unit
-                rows.append(
-                    [snap.unit, entity_id, role, residual, 100.0 * residual / capacity, *extras, int(dropped)]
-                )
-    return rows
+                yield [snap.unit, entity_id, role, residual, 100.0 * residual / capacity, *extras, int(dropped)]
 
 
 SNAPSHOT_COLUMNS = [
@@ -381,22 +376,22 @@ SNAPSHOT_COLUMNS = [
 ]
 
 
-def _matching_rows(result: SimResult) -> list[list]:
-    rows: list[list] = []
+def _matching_rows(result: SimResult) -> Iterator[list]:
     for snap in result.snapshots:
         for tower_id, charger_id in snap.stage1_pairs:
-            rows.append([snap.unit, 1, tower_id, charger_id, ""])
+            yield [snap.unit, 1, tower_id, charger_id, ""]
         for mbs_id, charger_id, transfer in snap.stage2_pairs:
-            rows.append([snap.unit, 2, mbs_id, charger_id, transfer])
-    return rows
+            yield [snap.unit, 2, mbs_id, charger_id, transfer]
 
 
-def _queue_rows(result: SimResult) -> list[list]:
-    rows: list[list] = []
+def _trace_rows(trace: QueueTrace, *prefix) -> Iterator[tuple]:
+    columns = (trace.slot, trace.backlog, trace.power, trace.arrival, trace.service, trace.energy)
+    return zip(*map(repeat, prefix), *(column.tolist() for column in columns))
+
+
+def _queue_rows(result: SimResult) -> Iterator[tuple]:
     for drone_id in sorted(result.queue_traces):
-        for rec in result.queue_traces[drone_id]:
-            rows.append([drone_id, rec.slot, rec.backlog, rec.power, rec.arrival, rec.service, rec.energy])
-    return rows
+        yield from _trace_rows(result.queue_traces[drone_id], drone_id)
 
 
 def _summary(result: SimResult) -> dict:
@@ -521,25 +516,15 @@ def cmd_power_control(cfg: RunConfig) -> int:
     _prepare_out_dir(cfg.out_dir)
     dpp = scenario.dpp
     policy = scenario.power_policy
-    rng = random.Random(f"{spec.seed}/arrivals/standalone")
-    queue = QueueState()
-    rows: list[list] = []
-    backlogs: list[float] = []
-    total_slots = spec.horizon * spec.timing.slots_per_unit
-    for slot in range(total_slots):
-        observed = queue.backlog
-        alpha = powerctl.dpp_decide(observed, dpp) if policy == "dpp" else powerctl.baseline_policy(policy, dpp)
-        arrival = powerctl.arrival_bits(dpp.arrival, rng)
-        service = powerctl.service_rate(alpha, dpp.channel, dpp.slot_s)
-        energy = powerctl.tx_energy(alpha, dpp.slot_s)
-        queue.backlog = powerctl.queue_step(observed, arrival, service)
-        backlogs.append(observed)
-        rows.append([slot, observed, alpha, arrival, service, energy])
-    verdict = metrics.stability_verdict(backlogs)
+    rngs = [random.Random(f"{spec.seed}/arrivals/standalone")]
+    arrivals = powerctl.arrival_block(dpp.arrival, rngs, spec.horizon * spec.timing.slots_per_unit)
+    queues = powerctl.run_queues([0.0], arrivals, dpp, policy)
+    trace = QueueTrace.of(dpp, queues.backlog[:, 0], queues.action[:, 0], arrivals[:, 0])
+    verdict = metrics.stability_verdict(trace.backlog.tolist())
     files = [
         _write_table(
             os.path.join(cfg.out_dir, "power_trace"), cfg.fmt, spec,
-            ["slot", "backlog_bits", "power_w", "arrival_bits", "service_bits", "tx_energy_j"], rows,
+            ["slot", "backlog_bits", "power_w", "arrival_bits", "service_bits", "tx_energy_j"], _trace_rows(trace),
         )
     ]
     _write_manifest(

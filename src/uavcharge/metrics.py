@@ -48,7 +48,8 @@ def queue_trace(result: SimResult, drone_id: str) -> list[tuple[int, float]]:
     """Backlog time series (slot, bits) for one MBS drone."""
     if drone_id not in result.queue_traces:
         raise KeyError(drone_id)
-    return [(rec.slot, rec.backlog) for rec in result.queue_traces[drone_id]]
+    trace = result.queue_traces[drone_id]
+    return list(zip(trace.slot.tolist(), trace.backlog.tolist()))
 
 
 def stability_verdict(

@@ -5,7 +5,9 @@ picks a transmit power from a finite action set.  The controller
 minimizes ``V * energy(power) - backlog * service(power)``: with an empty
 queue it transmits at the cheapest level, and as backlog grows it slides
 up the power ladder to keep the queue bounded.  Controllers share no
-state, so every drone runs its own instance independently.
+state, so ``run_queues`` steps a whole fleet's queues at once as arrays;
+``dpp_decide`` and ``queue_step`` are the scalar reference it is tested
+against.
 
 The energy and service models are the simplest physically sensible pair:
 transmission energy is power times slot length, and the per-slot service
@@ -19,7 +21,9 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TypeAlias
+from typing import NamedTuple, TypeAlias
+
+import numpy as np
 
 from .core import InvalidParameterError
 
@@ -33,7 +37,6 @@ class QueueState:
     """Backlog of untransmitted bits at one MBS drone."""
 
     backlog: float = 0.0
-    slot: int = 0
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.backlog) or self.backlog < 0:
@@ -175,8 +178,56 @@ def saturation_backlog(cfg: DppConfig) -> float:
     return threshold
 
 
-def arrival_bits(model: ArrivalModel, rng: random.Random) -> float:
-    """Draw one slot's arrivals from the traffic model."""
+def arrival_block(model: ArrivalModel, rngs: list[random.Random], slots: int) -> np.ndarray:
+    """Arrivals for ``slots`` slots of ``len(rngs)`` queues, shape [slots, queues].
+
+    Queue ``k`` draws its slots in order from its own generator ``rngs[k]``,
+    so the block equals one draw per queue per slot in any interleaving.
+    """
     if model.kind == "constant":
-        return model.mean_bits
-    return rng.uniform(0.0, 2.0 * model.mean_bits)
+        return np.full((slots, len(rngs)), model.mean_bits)
+    high = 2.0 * model.mean_bits
+    return np.array([[rng.uniform(0.0, high) for _ in range(slots)] for rng in rngs]).reshape(len(rngs), slots).T
+
+
+class QueueRun(NamedTuple):
+    """Kernel output for T slots of n queues."""
+
+    backlog: np.ndarray  # [T, n] backlog observed at each slot start
+    action: np.ndarray  # [T, n] index into cfg.action_set
+    final: np.ndarray  # [n] backlog after the last slot
+    tx: np.ndarray  # [n] transmit energy summed over the slots
+
+
+def action_arrays(cfg: DppConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(power, energy, service) per action, as numpy arrays of the scalar values."""
+    return tuple(np.array(_action_table(cfg), dtype=float).T)
+
+
+def run_queues(backlog0: list[float], arrivals: np.ndarray, cfg: DppConfig, policy: str = "dpp") -> QueueRun:
+    """Run n independent queues for T slots (``arrivals`` is [T, n]) under one power policy.
+
+    ``policy`` is ``dpp`` or a ``baseline_policy`` kind.  Each dpp slot
+    scores every action for every queue at once and takes the first
+    minimum: the same floating-point operations and tie-break as
+    ``dpp_decide``, so every choice equals it.  Deciding by the backlog
+    breakpoints of the score envelope would not: a backlog-vs-threshold
+    comparison rounds differently from a score comparison near a
+    crossover.  The queue step is ``queue_step``'s, and transmit energy is
+    summed slot by slot, in the order a scalar loop adds it.
+    """
+    _, energy, service = action_arrays(cfg)
+    slots, n = arrivals.shape
+    backlog = np.empty((slots, n))
+    action = np.empty((slots, n), dtype=np.intp)
+    b = np.array(backlog0, dtype=float).reshape(n)
+    tx = np.zeros(n)
+    fixed = None if policy == "dpp" else cfg.action_set.index(baseline_policy(policy, cfg))
+    cost = cfg.v * energy
+    for t in range(slots):
+        backlog[t] = b
+        idx = fixed if fixed is not None else (cost - b[:, None] * service).argmin(axis=1)
+        action[t] = idx
+        b = np.maximum(b - service[idx], 0.0) + arrivals[t]
+        tx = tx + energy[idx]
+    return QueueRun(backlog, action, b, tx)

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import copy
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+
+import numpy as np
 
 from . import matching, powerctl
 from .core import (
@@ -98,15 +100,27 @@ class MbsFlows:
 
 
 @dataclass
-class SlotRecord:
-    """One controller decision: backlog observed at slot start, then action."""
+class QueueTrace:
+    """One drone's controller trace, one numpy column per field: slot,
+    backlog observed at slot start, then the action's power and flows."""
 
-    slot: int
-    backlog: float
-    power: float
-    arrival: float
-    service: float
-    energy: float
+    slot: np.ndarray
+    backlog: np.ndarray
+    power: np.ndarray
+    arrival: np.ndarray
+    service: np.ndarray
+    energy: np.ndarray
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, QueueTrace):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+    @classmethod
+    def of(cls, cfg: DppConfig, backlog: np.ndarray, action: np.ndarray, arrival: np.ndarray) -> "QueueTrace":
+        """Trace from slot 0 of one queue's kernel columns (action indices into ``cfg``)."""
+        power, energy, service = powerctl.action_arrays(cfg)
+        return cls(np.arange(len(action)), backlog, power[action], arrival, service[action], energy[action])
 
 
 @dataclass
@@ -131,7 +145,7 @@ class SimResult:
     horizon: int
     units_run: int
     snapshots: list[UnitSnapshot]
-    queue_traces: dict[str, list[SlotRecord]]
+    queue_traces: dict[str, QueueTrace]
     dropped_at: dict[str, int]
     coverage_time: int | None
 
@@ -150,7 +164,8 @@ class SimState:
     mbs_drones: list[MbsDrone]
     unit: int = 0
     snapshots: list[UnitSnapshot] = field(default_factory=list)
-    queue_traces: dict[str, list[SlotRecord]] = field(default_factory=dict)
+    # per drone, one (backlog, action, arrival) column triple per unit it was live
+    queue_parts: dict[str, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = field(default_factory=dict)
     dropped_at: dict[str, int] = field(default_factory=dict)
     rng_stage1: random.Random = field(default_factory=random.Random)
     rng_stage2: random.Random = field(default_factory=random.Random)
@@ -169,7 +184,7 @@ class SimState:
         )
         for m in state.mbs_drones:
             m.queue = QueueState()
-            state.queue_traces[m.id] = []
+            state.queue_parts[m.id] = []
             state.arrival_rngs[m.id] = random.Random(f"{seed}/arrivals/{m.id}")
             if m.residual <= 0 and not m.dropped:
                 m.dropped = True
@@ -193,7 +208,7 @@ def run(scenario: Scenario) -> SimResult:
         horizon=scenario.horizon,
         units_run=state.unit,
         snapshots=state.snapshots,
-        queue_traces=state.queue_traces,
+        queue_traces=_queue_traces(state),
         dropped_at=dict(state.dropped_at),
         coverage_time=coverage,
     )
@@ -243,15 +258,19 @@ def step_unit_time(state: SimState) -> SimState:
         charger_flows[charger_id].travel_spent += travel
         mbs_flows[mbs_id].received += delivered
 
-    # Phase 3: per-slot transmit power control on every live MBS drone.
-    for mbs in state.mbs_drones:
-        if mbs.dropped:
-            continue
-        tx_total = _run_slots(state, mbs, unit)
-        hover = mbs.hover_power * timing.unit_s
-        mbs.residual -= hover + tx_total
-        mbs_flows[mbs.id].hover_drain = hover
-        mbs_flows[mbs.id].tx_drain = tx_total
+    # Phase 3: per-slot transmit power control on every live MBS drone, as one kernel call.
+    live = [m for m in state.mbs_drones if not m.dropped]
+    if live:
+        rngs = [state.arrival_rngs[m.id] for m in live]
+        arrivals = powerctl.arrival_block(scenario.dpp.arrival, rngs, timing.slots_per_unit)
+        queues = powerctl.run_queues([m.queue.backlog for m in live], arrivals, scenario.dpp, scenario.power_policy)
+        for k, (mbs, backlog, tx_total) in enumerate(zip(live, queues.final.tolist(), queues.tx.tolist())):
+            state.queue_parts[mbs.id].append((queues.backlog[:, k], queues.action[:, k], arrivals[:, k]))
+            mbs.queue.backlog = backlog
+            hover = mbs.hover_power * timing.unit_s
+            mbs.residual -= hover + tx_total
+            mbs_flows[mbs.id].hover_drain = hover
+            mbs_flows[mbs.id].tx_drain = tx_total
 
     # Drop detection at the unit-time boundary.
     dropped_now: list[str] = []
@@ -304,29 +323,12 @@ def _dispatch_stage2(state: SimState) -> Stage2Assignment:
     )
 
 
-def _run_slots(state: SimState, mbs: MbsDrone, unit: int) -> float:
+def _queue_traces(state: SimState) -> dict[str, QueueTrace]:
+    # A drone is live from unit 1 until it drops, so its parts run from slot 0;
+    # the leading empty triple covers drones that never ran a slot.
     cfg = state.scenario.dpp
-    timing = state.scenario.timing
-    policy = state.scenario.power_policy
-    rng = state.arrival_rngs[mbs.id]
-    trace = state.queue_traces[mbs.id]
-    queue = mbs.queue
-    tx_total = 0.0
-    base_slot = (unit - 1) * timing.slots_per_unit
-    for s in range(timing.slots_per_unit):
-        observed = queue.backlog
-        if policy == "dpp":
-            alpha = powerctl.dpp_decide(observed, cfg)
-        else:
-            alpha = powerctl.baseline_policy(policy, cfg)
-        arrival = powerctl.arrival_bits(cfg.arrival, rng)
-        service = powerctl.service_rate(alpha, cfg.channel, cfg.slot_s)
-        energy = powerctl.tx_energy(alpha, cfg.slot_s)
-        queue.backlog = powerctl.queue_step(observed, arrival, service)
-        queue.slot += 1
-        tx_total += energy
-        trace.append(SlotRecord(base_slot + s, observed, alpha, arrival, service, energy))
-    return tx_total
+    empty = (np.empty(0), np.empty(0, dtype=np.intp), np.empty(0))
+    return {i: QueueTrace.of(cfg, *map(np.concatenate, zip(empty, *parts))) for i, parts in state.queue_parts.items()}
 
 
 def _check_bounds(state: SimState) -> None:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -196,6 +197,24 @@ def test_power_control_runs(tmp_path):
     trace = (out / "power_trace.csv").read_text().splitlines()
     assert trace[1] == "slot,backlog_bits,power_w,arrival_bits,service_bits,tx_energy_j"
     assert len(trace) == 2 + 120
+
+
+# SHA-256 of artifacts from the per-slot scalar loop that the fleet-wide kernel replaced.
+GOLDEN = {
+    ("simulate", "queues.csv"): "1cc120b6d2e458806b49e674365ed45da87e35ed5b956f0d7ee37960343428b3",
+    ("simulate", "snapshots.csv"): "f3c20c6d19be4ae98d8992ecc1eb45a901dad1689e35fe0de2388b3a62beae7f",
+    ("dpp", "power_trace.csv"): "3dcd12e656219c88c5272820a4189e97ad857c619b91a8b16e3472d4d68031d3",
+    ("min-pa", "power_trace.csv"): "7eefcc235b601fa4e8ae0381387af8e5b32ae4de5ffa97a59b33348f5f7e4bc9",
+}
+
+
+def test_golden_artifact_hashes(tmp_path):
+    # the default scenario (default_spec(0)) and the standalone queue under two policies
+    assert main(["simulate", "--out", str(tmp_path / "simulate")]) == 0
+    for power in ("dpp", "min-pa"):
+        assert main(["power-control", "--out", str(tmp_path / power), "--power", power]) == 0
+    for (run, name), digest in GOLDEN.items():
+        assert hashlib.sha256((tmp_path / run / name).read_bytes()).hexdigest() == digest, f"{run}/{name}"
 
 
 def test_oracle_check_passes_and_reports():

@@ -1,8 +1,9 @@
 import math
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from uavcharge.core import InvalidParameterError
 from uavcharge.powerctl import (
@@ -10,11 +11,12 @@ from uavcharge.powerctl import (
     ChannelModel,
     DppConfig,
     QueueState,
-    arrival_bits,
+    arrival_block,
     baseline_policy,
     dpp_decide,
     dpp_objective,
     queue_step,
+    run_queues,
     saturation_backlog,
     service_rate,
     tx_energy,
@@ -138,13 +140,74 @@ def test_baseline_policies():
 
 
 def test_arrival_models():
-    rng = random.Random(3)
     constant = ArrivalModel("constant", 500.0)
-    assert arrival_bits(constant, rng) == 500.0
+    assert arrival_block(constant, [random.Random(3)] * 2, 4).tolist() == [[500.0, 500.0]] * 4
     stochastic = ArrivalModel("random", 500.0)
-    draws = [arrival_bits(stochastic, random.Random(3)) for _ in range(3)]
-    assert draws[0] == draws[1] == draws[2]
-    assert all(0.0 <= arrival_bits(stochastic, rng) <= 1000.0 for _ in range(100))
+    block = arrival_block(stochastic, [random.Random(3), random.Random(4)], 100)
+    assert block.shape == (100, 2)
+    assert ((0.0 <= block) & (block <= 1000.0)).all()
+    # column k is stream k drawn in slot order, exactly as a per-slot loop over the queues draws it
+    rngs = [random.Random(3), random.Random(4)]
+    assert block.tolist() == [[rng.uniform(0.0, 1000.0) for rng in rngs] for _ in range(100)]
+    assert arrival_block(stochastic, [], 5).shape == (5, 0)
+
+
+@st.composite
+def dpp_configs(draw):
+    # built like acceptance criterion 9's generator, plus v = 0 (every score ties at an empty queue)
+    # and slot lengths whose energies are inexact, so the order of the transmit-energy sum shows
+    actions = draw(st.lists(st.sampled_from([float(x) for x in range(0, 400, 5)]), min_size=2, max_size=12,
+                            unique=True))
+    return DppConfig(
+        v=draw(st.one_of(st.just(0.0), st.floats(1e3, 1e12))),
+        action_set=tuple(sorted(actions)),
+        slot_s=draw(st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.01, 10.0)),
+        channel=ChannelModel(
+            bandwidth_hz=draw(st.floats(1e4, 1e7)),
+            gain=draw(st.floats(0.01, 10.0)),
+            noise_w=draw(st.floats(0.1, 100.0)),
+        ),
+    )
+
+
+def decision_points(cfg: DppConfig) -> list[float]:
+    """0, every pairwise crossover backlog and its float neighbours, and backlogs past saturation."""
+    table = [(tx_energy(a, cfg.slot_s), service_rate(a, cfg.channel, cfg.slot_s)) for a in cfg.action_set]
+    points = [0.0]
+    for i, (e_i, s_i) in enumerate(table):
+        for e_j, s_j in table[i + 1:]:
+            q = cfg.v * (e_j - e_i) / (s_j - s_i)
+            points += [q, math.nextafter(q, 0.0), math.nextafter(q, math.inf)]
+    q_max = saturation_backlog(cfg)
+    return points + [math.nextafter(q_max, math.inf), 2.0 * q_max + 1.0, 1e15]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_run_queues_matches_scalar_reference(data):
+    cfg = data.draw(dpp_configs())
+    policy = data.draw(st.sampled_from(["dpp", "max_pa", "min_pa"]))
+    points = decision_points(cfg)
+    # a single queue often: its [T, 1] energy column is where a pairwise sum would differ
+    n = data.draw(st.sampled_from([1, 2]) | st.integers(1, 16))
+    backlog0 = data.draw(st.lists(st.sampled_from(points) | st.floats(0.0, 1e12), min_size=n, max_size=n))
+    slots = data.draw(st.integers(1, 32))
+    arrivals = np.array(data.draw(st.lists(
+        st.lists(st.sampled_from([0.0, *points]) | st.floats(0.0, 1e9), min_size=n, max_size=n),
+        min_size=slots, max_size=slots,
+    )))
+    queues = run_queues(backlog0, arrivals, cfg, policy)
+    assert queues.backlog.shape == queues.action.shape == (slots, n)
+    for k, b in enumerate(backlog0):
+        tx = 0.0
+        for t in range(slots):
+            assert queues.backlog[t, k].hex() == b.hex()
+            alpha = dpp_decide(b, cfg) if policy == "dpp" else baseline_policy(policy, cfg)
+            assert cfg.action_set[queues.action[t, k]] == alpha
+            b = queue_step(b, arrivals[t, k].item(), service_rate(alpha, cfg.channel, cfg.slot_s))
+            tx += tx_energy(alpha, cfg.slot_s)
+        assert queues.final[k].hex() == b.hex()
+        assert queues.tx[k].hex() == tx.hex()
 
 
 def test_config_validation():

@@ -186,7 +186,7 @@ def test_dropped_drones_never_reappear():
             assert all(m != mid for m, _, _ in snap.stage2_pairs)
             assert snap.mbs_energy[mid][0] == 0.0
         last_slot_unit = 1 + max(
-            (rec.slot // spec.timing.slots_per_unit for rec in result.queue_traces[mid]), default=0
+            (slot // spec.timing.slots_per_unit for slot in result.queue_traces[mid].slot.tolist()), default=0
         )
         assert last_slot_unit <= dropped_unit
 
