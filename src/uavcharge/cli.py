@@ -19,6 +19,8 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from itertools import repeat
 
+import numpy as np
+
 from . import matching, metrics, powerctl, simengine
 from .core import InvalidParameterError, TimingConfig
 from .powerctl import ArrivalModel, ChannelModel
@@ -384,14 +386,44 @@ def _matching_rows(result: SimResult) -> Iterator[list]:
             yield [snap.unit, 2, mbs_id, charger_id, transfer]
 
 
-def _trace_rows(trace: QueueTrace, *prefix) -> Iterator[tuple]:
-    columns = (trace.slot, trace.backlog, trace.power, trace.arrival, trace.service, trace.energy)
-    return zip(*map(repeat, prefix), *(column.tolist() for column in columns))
+QUEUE_COLUMNS = ["slot", "backlog_bits", "power_w", "arrival_bits", "service_bits", "tx_energy_j"]
 
 
-def _queue_rows(result: SimResult) -> Iterator[tuple]:
-    for drone_id in sorted(result.queue_traces):
-        yield from _trace_rows(result.queue_traces[drone_id], drone_id)
+def _float_text(block: np.ndarray) -> list[list[str]]:
+    """``repr`` of every value of a 2-D float64 block, as one list of strings per row.
+
+    Each distinct value is formatted once and gathered back through
+    ``np.unique``'s inverse.  The key is the bit pattern, not the value, so
+    ``-0.0`` stays apart from ``0.0`` and every field is exactly ``repr(x)``.
+    """
+    flat = block.reshape(-1)
+    _, first, inverse = np.unique(flat.view(np.int64), return_index=True, return_inverse=True)
+    text = np.array([repr(x) for x in flat[first].tolist()], dtype=object)
+    return text[inverse].reshape(block.shape).tolist()
+
+
+def _write_queue_table(path: str, fmt: str, spec: ScenarioSpec, columns: list[str],
+                       traces: Iterable[tuple[tuple[str, ...], QueueTrace]]) -> str:
+    """Write queue traces, each row prefixed by its trace's key fields.
+
+    CSV text is rendered from each trace's columns and written one trace at
+    a time, equal to ``csv.writer`` output: ints are ``str``, floats ``repr``,
+    and no field needs quoting, since the only key fields are drone ids
+    from ``ScenarioSpec.build`` (``M00``, ``M01``, ...).  JSON keeps
+    materialised rows, whose number text is ``json``'s own.
+    """
+    blocks = ((prefix, t.slot.tolist(), np.stack((t.backlog, t.power, t.arrival, t.service, t.energy)))
+              for prefix, t in traces)
+    if fmt == "json":
+        rows = (row for prefix, slots, block in blocks for row in zip(*map(repeat, prefix), slots, *block.tolist()))
+        return _write_table(path, fmt, spec, columns, rows)
+    with open(f"{path}.csv", "w", encoding="utf-8") as fh:
+        fh.write(f"{_artifact_header(spec)}\n{','.join(columns)}\n")
+        for prefix, slots, block in blocks:
+            if slots:
+                lines = zip(*map(repeat, prefix), map(str, slots), *_float_text(block))
+                fh.write("\n".join(map(",".join, lines)) + "\n")
+    return f"{os.path.basename(path)}.csv"
 
 
 def _summary(result: SimResult) -> dict:
@@ -465,10 +497,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
             os.path.join(cfg.out_dir, "matchings"), cfg.fmt, spec,
             ["unit_time", "stage", "served_id", "charger_id", "transfer_j"], _matching_rows(result),
         ),
-        _write_table(
-            os.path.join(cfg.out_dir, "queues"), cfg.fmt, spec,
-            ["drone_id", "slot", "backlog_bits", "power_w", "arrival_bits", "service_bits", "tx_energy_j"],
-            _queue_rows(result),
+        _write_queue_table(
+            os.path.join(cfg.out_dir, "queues"), cfg.fmt, spec, ["drone_id", *QUEUE_COLUMNS],
+            (((drone_id,), result.queue_traces[drone_id]) for drone_id in sorted(result.queue_traces)),
         ),
     ]
     summary = _summary(result)
@@ -522,10 +553,7 @@ def cmd_power_control(cfg: RunConfig) -> int:
     trace = QueueTrace.of(dpp, queues.backlog[:, 0], queues.action[:, 0], arrivals[:, 0])
     verdict = metrics.stability_verdict(trace.backlog.tolist())
     files = [
-        _write_table(
-            os.path.join(cfg.out_dir, "power_trace"), cfg.fmt, spec,
-            ["slot", "backlog_bits", "power_w", "arrival_bits", "service_bits", "tx_energy_j"], _trace_rows(trace),
-        )
+        _write_queue_table(os.path.join(cfg.out_dir, "power_trace"), cfg.fmt, spec, QUEUE_COLUMNS, [((), trace)])
     ]
     _write_manifest(
         cfg.out_dir, spec, provenance,

@@ -77,14 +77,15 @@ class Stage2Assignment:
 
 
 def stage1_match(towers: list[Tower], chargers: list[ChargerDrone]) -> Stage1Assignment:
-    """Optimal tower-to-charger matching.
+    """Tower-to-charger matching, exact for the deficit objective.
 
     The objective coefficient of a charger (its deficit) does not depend
     on which tower serves it, so serving the largest-deficit drones up to
     the total plate supply is exactly optimal.  Ties break toward the
-    earlier charger in roster order, and each served drone takes the
-    nearest tower with a free plate so the delivered energy (which does
-    depend on distance) is as large as possible.
+    earlier charger in roster order.  Towers are then assigned greedily:
+    each served drone, in deficit order, takes the nearest tower with a
+    free plate.  That maximizes delivered energy only with a single tower;
+    with more, a different assignment can deliver more (ROADMAP item 2).
     """
     candidates = [(c.deficit, idx) for idx, c in enumerate(chargers) if c.deficit > 0]
     candidates.sort(key=lambda t: (-t[0], t[1]))
@@ -429,7 +430,8 @@ def baseline_match(
     ``random`` draws a feasible assignment from the supplied generator.
     ``greedy_best`` serves drones in ascending residual-energy order (the
     needy first); ``greedy_worst`` in descending order.  Stage-1 baselines
-    pick the nearest free tower for each served charger; stage-2 baselines
+    pick the nearest free tower for each served charger (the greedy rule of
+    ``stage1_match``, not a delivered-energy optimum); stage-2 baselines
     give each served MBS drone the fullest chargers that can actually
     reach it, with transfers filled by the allocate rule.
     """

@@ -4,11 +4,13 @@ import json
 import os
 import stat
 
+import numpy as np
 import pytest
 
 from uavcharge import matching
 from uavcharge.cli import (
     ConfigError,
+    _float_text,
     config_hash,
     emit_scenario,
     load_scenario,
@@ -199,20 +201,47 @@ def test_power_control_runs(tmp_path):
     assert len(trace) == 2 + 120
 
 
-# SHA-256 of artifacts from the per-slot scalar loop that the fleet-wide kernel replaced.
+def test_float_text_is_repr_of_every_value():
+    special = [0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1e16, 0.1 + 0.2, 3.0, -7.0]
+    blocks = [
+        np.array([special, special[::-1], [0.0] * 10, [-0.0] * 10, [1e16, 5e-324] * 5]),
+        np.random.default_rng(3).uniform(-1e6, 1e6, size=(5, 400)),  # every value distinct
+        np.empty((5, 0)),
+    ]
+    for block in blocks:
+        assert _float_text(block) == [[repr(x) for x in row] for row in block.tolist()]
+
+
+# SHA-256 of artifacts from the per-slot scalar loop that the fleet-wide kernel replaced,
+# and (the last four) from the csv.writer path that the column-native queue writer replaced.
 GOLDEN = {
     ("simulate", "queues.csv"): "1cc120b6d2e458806b49e674365ed45da87e35ed5b956f0d7ee37960343428b3",
     ("simulate", "snapshots.csv"): "f3c20c6d19be4ae98d8992ecc1eb45a901dad1689e35fe0de2388b3a62beae7f",
     ("dpp", "power_trace.csv"): "3dcd12e656219c88c5272820a4189e97ad857c619b91a8b16e3472d4d68031d3",
     ("min-pa", "power_trace.csv"): "7eefcc235b601fa4e8ae0381387af8e5b32ae4de5ffa97a59b33348f5f7e4bc9",
+    ("random", "queues.csv"): "b6fca98857fc572566957b216ff77ce7cc8c3048fa437e6fbce37d9afbf27e0c",
+    ("dropped", "queues.csv"): "505a70950fbf372ef9f841d1094e7eea8e117b6f96101eae4403d76968ea617b",
+    ("max-pa", "power_trace.csv"): "8d233d2c1331f5898d9962314b578928b1c40e9ddba99b9c20312423c6c09c55",
+    ("json", "queues.json"): "45c56cf0fb6b946c177994f278cf9d1231eee3ad9a24f94b9dbd6a669ad0d761",
 }
 
 
 def test_golden_artifact_hashes(tmp_path):
-    # the default scenario (default_spec(0)) and the standalone queue under two policies
+    # the default scenario (default_spec(0)) and the standalone queue under three policies
     assert main(["simulate", "--out", str(tmp_path / "simulate")]) == 0
-    for power in ("dpp", "min-pa"):
+    for power in ("dpp", "min-pa", "max-pa"):
         assert main(["power-control", "--out", str(tmp_path / power), "--power", power]) == 0
+    # SMALL with every backlog and arrival distinct; with every MBS drone dropped at
+    # unit 0 (a header-only queue table); and as JSON
+    variants = {
+        "random": (SMALL + "dpp.arrival_kind = random\n", []),
+        "dropped": (SMALL + "init.min_frac = 0.0\ninit.max_frac = 0.0\n", []),
+        "json": (SMALL, ["--format", "json"]),
+    }
+    for run, (text, extra) in variants.items():
+        cfg = tmp_path / f"{run}.cfg"
+        cfg.write_text(text)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / run), *extra]) == 0
     for (run, name), digest in GOLDEN.items():
         assert hashlib.sha256((tmp_path / run / name).read_bytes()).hexdigest() == digest, f"{run}/{name}"
 
